@@ -39,12 +39,6 @@ func (c *Cache) sync(f *ir.Function) {
 	c.live = nil
 }
 
-// Invalidate drops all cached results unconditionally.
-func (c *Cache) Invalidate() {
-	c.fn = nil
-	c.rpo, c.dom, c.loops, c.live = nil, nil, nil, nil
-}
-
 // RPO returns (possibly cached) ReversePostorder(f). Callers must not
 // mutate the returned slice.
 func (c *Cache) RPO(f *ir.Function) []*ir.Block {

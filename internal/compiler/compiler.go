@@ -196,14 +196,9 @@ func chainCheckpoint(ctx context.Context, next func() error) func() error {
 	}
 }
 
-// CompileProgram runs the mid- and back-end phases on lowered IR. The
-// program is consumed (transformed in place).
-func CompileProgram(prog *ir.Program, opts Options) (*Result, error) {
-	return CompileProgramContext(context.Background(), prog, opts)
-}
-
-// CompileProgramContext is CompileProgram with cooperative
-// cancellation (see CompileContext).
+// CompileProgramContext runs the mid- and back-end phases on lowered
+// IR under cooperative cancellation (see CompileContext). The program
+// is consumed (transformed in place).
 func CompileProgramContext(ctx context.Context, prog *ir.Program, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	opts.Checkpoint = chainCheckpoint(ctx, opts.Checkpoint)

@@ -243,13 +243,6 @@ func mergeKindByName(s string) (mergeKind, bool) {
 	return 0, false
 }
 
-// FormFunctionTrace is FormFunction with decision recording: it
-// additionally returns the replayable trace of the run. The trace is
-// nil when formation was canceled mid-run.
-func FormFunctionTrace(f *ir.Function, cfg Config) (*ir.Function, Stats, *FuncTrace, error) {
-	return formFunction(f, cfg, true)
-}
-
 // ReplayStats counts skeleton replay outcomes across one program.
 type ReplayStats struct {
 	// Replayed counts functions formed purely by trace replay.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/obs"
 	"repro/internal/sim/timing"
 )
 
@@ -107,7 +108,7 @@ type Engine struct {
 	// through the cache's backing store, plus the instantiation-
 	// latency ring fed by skeleton-replayed compiles.
 	skel    *skeletonCache
-	instLat latRing
+	instLat *obs.Window
 }
 
 // New builds an engine. The zero Config is valid: GOMAXPROCS workers,
@@ -131,6 +132,7 @@ func New(cfg Config) *Engine {
 		wdTrips: map[string]int{}, quarantined: map[string]bool{},
 		flights: map[string]*flight{},
 		skel:    newSkeletonCache(c.Store()),
+		instLat: obs.NewWindow(instLatRingSize),
 	}
 }
 

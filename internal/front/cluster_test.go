@@ -72,7 +72,7 @@ func newCluster(t *testing.T, n int) []*clusterShard {
 			}
 		}
 		backing := store.NewTiered(sh.local,
-			store.NewPeer("peers", engine.KeySchema, peerURLs, nil))
+			store.NewPeerWith("peers", engine.KeySchema, peerURLs, nil, store.PeerOpts{}))
 		sh.cache = engine.NewStoreCache(backing)
 		sh.eng = engine.New(engine.Config{Workers: 4, Cache: sh.cache})
 		srv, err := server.New(server.Config{
@@ -118,7 +118,7 @@ func newReadThroughPair(t *testing.T) []*clusterShard {
 		var backing store.Store = sh.local
 		if i == 1 {
 			backing = store.NewTiered(sh.local,
-				store.NewPeer("peers", engine.KeySchema, []string{shards[0].url}, nil))
+				store.NewPeerWith("peers", engine.KeySchema, []string{shards[0].url}, nil, store.PeerOpts{}))
 		}
 		sh.cache = engine.NewStoreCache(backing)
 		sh.eng = engine.New(engine.Config{Workers: 4, Cache: sh.cache})

@@ -126,14 +126,13 @@ func (f *Front) StatusSnapshot() Status {
 	now := time.Now()
 	for _, u := range set.urls {
 		s := set.shards[u]
-		p50, _ := s.lat.quantile(0.50)
-		p95, _ := s.lat.quantile(0.95)
+		lat := s.lat.Snapshot()
 		st.Shards = append(st.Shards, ShardStatus{
 			URL:           s.url,
 			Requests:      s.requests.Load(),
 			Errors:        s.errors.Load(),
-			P50MS:         float64(p50.Nanoseconds()) / 1e6,
-			P95MS:         float64(p95.Nanoseconds()) / 1e6,
+			P50MS:         float64(lat.Quantile(0.50)) / 1e6,
+			P95MS:         float64(lat.Quantile(0.95)) / 1e6,
 			HedgeBudgetMS: float64(s.hedgeBudget(f.cfg).Nanoseconds()) / 1e6,
 			Breaker:       s.breaker.Status(now),
 			State:         set.state(u),

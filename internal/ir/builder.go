@@ -67,16 +67,6 @@ func (bd *Builder) BinInto(op Op, dst, a, b Reg) {
 	bd.emit(&Instr{Op: op, Dst: dst, A: a, B: b, Pred: NoReg})
 }
 
-// Un emits dst = <op> a into a fresh register.
-func (bd *Builder) Un(op Op, a Reg) Reg {
-	dst := bd.Fn.NewReg()
-	if !op.IsUnary() {
-		panic("ir: Un with non-unary op " + op.String())
-	}
-	bd.emit(&Instr{Op: op, Dst: dst, A: a, B: NoReg, Pred: NoReg})
-	return dst
-}
-
 // Load emits dst = mem[a+off] into a fresh register.
 func (bd *Builder) Load(a Reg, off int64) Reg {
 	dst := bd.Fn.NewReg()

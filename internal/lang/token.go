@@ -103,9 +103,6 @@ type Token struct {
 	Col  int
 }
 
-// Pos renders "line:col".
-func (t Token) Pos() string { return fmt.Sprintf("%d:%d", t.Line, t.Col) }
-
 // Error is a front-end diagnostic with position information.
 type Error struct {
 	Line int

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/workloads/corpus"
+	"repro/internal/xrand"
 )
 
 // Profile names one arrival-pattern family.
@@ -112,24 +113,6 @@ func (c ScheduleConfig) withDefaults() ScheduleConfig {
 	return c
 }
 
-// rng is the package's splitmix64 stream (same generator the breaker
-// jitter and chaos plans use), so schedules are reproducible without
-// depending on math/rand stream stability.
-type rng uint64
-
-func (r *rng) next() uint64 {
-	*r += 0x9e3779b97f4a7c15
-	x := uint64(*r)
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
-// float returns a uniform float64 in [0, 1).
-func (r *rng) float() float64 { return float64(r.next()%(1<<53)) / (1 << 53) }
-
 // Schedule builds the deterministic arrival sequence for one
 // (profile, seed) pair over the given corpus.
 func Schedule(cfg ScheduleConfig) ([]Arrival, error) {
@@ -140,7 +123,9 @@ func Schedule(cfg ScheduleConfig) ([]Arrival, error) {
 	if cfg.Corpus == nil || len(cfg.Corpus.Programs) == 0 {
 		return nil, fmt.Errorf("load: ScheduleConfig.Corpus is required")
 	}
-	r := rng(uint64(cfg.Seed)*0x9e3779b97f4a7c15 + profileSalt(cfg.Profile))
+	// Hashing the profile name in separates sibling profiles' streams
+	// at one seed.
+	r := xrand.Stream(uint64(cfg.Seed)*0x9e3779b97f4a7c15 + xrand.Hash(string(cfg.Profile)))
 	times := arrivalTimes(&r, cfg)
 	out := make([]Arrival, cfg.Requests)
 	pick := programPicker(&r, cfg)
@@ -154,20 +139,9 @@ func Schedule(cfg ScheduleConfig) ([]Arrival, error) {
 	return out, nil
 }
 
-// profileSalt separates the streams of sibling profiles at one seed
-// (FNV-1a over the name, same convention as breaker jitter salts).
-func profileSalt(p Profile) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(p); i++ {
-		h ^= uint64(p[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // arrivalTimes lays the request budget over the duration according to
 // the profile's rate shape, sorted ascending.
-func arrivalTimes(r *rng, cfg ScheduleConfig) []time.Duration {
+func arrivalTimes(r *xrand.Stream, cfg ScheduleConfig) []time.Duration {
 	n, span := cfg.Requests, cfg.Duration
 	out := make([]time.Duration, n)
 	switch cfg.Profile {
@@ -180,8 +154,8 @@ func arrivalTimes(r *rng, cfg ScheduleConfig) []time.Duration {
 		period := span / periods
 		on := period / 4
 		for i := range out {
-			p := time.Duration(r.intn(periods))
-			out[i] = p*period + time.Duration(r.float()*float64(on))
+			p := time.Duration(r.Intn(periods))
+			out[i] = p*period + time.Duration(r.Float()*float64(on))
 		}
 	case Diurnal:
 		// Density ∝ 1 + 0.9·sin(2πt/span − π/2): near-zero at the
@@ -190,9 +164,9 @@ func arrivalTimes(r *rng, cfg ScheduleConfig) []time.Duration {
 		// output side.
 		for i := range out {
 			for {
-				t := r.float()
+				t := r.Float()
 				d := (1 + 0.9*math.Sin(2*math.Pi*t-math.Pi/2)) / 1.9
-				if r.float() < d {
+				if r.Float() < d {
 					out[i] = time.Duration(t * float64(span))
 					break
 				}
@@ -201,7 +175,7 @@ func arrivalTimes(r *rng, cfg ScheduleConfig) []time.Duration {
 	default: // steady, adversarial, hotkey: even spacing, ±30% jitter
 		step := float64(span) / float64(n)
 		for i := range out {
-			j := (r.float() - 0.5) * 0.6 * step
+			j := (r.Float() - 0.5) * 0.6 * step
 			out[i] = time.Duration(float64(i)*step + j)
 			if out[i] < 0 {
 				out[i] = 0
@@ -218,7 +192,7 @@ func arrivalTimes(r *rng, cfg ScheduleConfig) []time.Duration {
 var orderings = []string{"(IUPO)", "IUPO", "(IUP)O"}
 
 // programPicker returns the profile's program/config chooser.
-func programPicker(r *rng, cfg ScheduleConfig) func(i int) Arrival {
+func programPicker(r *xrand.Stream, cfg ScheduleConfig) func(i int) Arrival {
 	c := cfg.Corpus
 	fromIdx := func(idx int) Arrival {
 		p := c.Programs[idx]
@@ -226,23 +200,23 @@ func programPicker(r *rng, cfg ScheduleConfig) func(i int) Arrival {
 			ProgramSeed: p.Seed,
 			ProgramIdx:  idx,
 			Class:       p.Cluster,
-			Args:        []int64{int64(r.intn(8)), int64(r.intn(8))},
+			Args:        []int64{int64(r.Intn(8)), int64(r.Intn(8))},
 		}
 	}
 	switch cfg.Profile {
 	case Adversarial:
 		members := c.Members(c.DeepCallCluster())
-		return func(int) Arrival { return fromIdx(members[r.intn(len(members))]) }
+		return func(int) Arrival { return fromIdx(members[r.Intn(len(members))]) }
 	case HotKey:
 		// Few programs, many configs: 4 hot programs under a zipf-ish
 		// 8/4/2/1 weighting, each request a fresh (ordering, args)
 		// combination so the key space is hot-program × config.
 		hot := make([]int, 4)
 		for i := range hot {
-			hot[i] = r.intn(len(c.Programs))
+			hot[i] = r.Intn(len(c.Programs))
 		}
 		return func(int) Arrival {
-			w := r.intn(15)
+			w := r.Intn(15)
 			rank := 3
 			switch {
 			case w < 8:
@@ -253,10 +227,10 @@ func programPicker(r *rng, cfg ScheduleConfig) func(i int) Arrival {
 				rank = 2
 			}
 			a := fromIdx(hot[rank])
-			a.Ordering = orderings[r.intn(len(orderings))]
+			a.Ordering = orderings[r.Intn(len(orderings))]
 			return a
 		}
 	default: // steady, bursty, diurnal: uniform over the whole corpus
-		return func(int) Arrival { return fromIdx(r.intn(len(c.Programs))) }
+		return func(int) Arrival { return fromIdx(r.Intn(len(c.Programs))) }
 	}
 }

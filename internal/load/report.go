@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Outcome is one request's recorded result.
@@ -43,10 +45,7 @@ func quantiles(ms []float64) Quantiles {
 	}
 	sorted := append([]float64(nil), ms...)
 	sort.Float64s(sorted)
-	at := func(q float64) float64 {
-		i := int(q * float64(len(sorted)-1))
-		return sorted[i]
-	}
+	at := func(q float64) float64 { return sorted[obs.Rank(q, len(sorted))] }
 	sum := 0.0
 	for _, v := range sorted {
 		sum += v

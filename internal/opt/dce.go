@@ -88,16 +88,3 @@ func DeadCodeElim(b *ir.Block, liveOut analysis.RegSet) bool {
 	dcePool.Put(sc)
 	return changed
 }
-
-// DeadCodeElimFunction runs DCE over every block using fresh
-// liveness.
-func DeadCodeElimFunction(f *ir.Function) bool {
-	lv := analysis.ComputeLiveness(f)
-	changed := false
-	for _, b := range f.Blocks {
-		if DeadCodeElim(b, lv.Out[b]) {
-			changed = true
-		}
-	}
-	return changed
-}

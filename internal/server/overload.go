@@ -4,6 +4,9 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/xrand"
 )
 
 // This file is the adaptive overload controller: a CoDel-style
@@ -26,15 +29,19 @@ const statsMinSamples = 8
 const statsRing = 64
 
 // classStats tracks one workload class's service-time distribution:
-// an EWMA for the central tendency and a small ring for the p90 tail.
-// Only completed service (ok/degraded engine wall time) is recorded —
-// timeouts would poison the estimate with the deadline, not the cost.
+// an EWMA for the central tendency and a sample window for the p90
+// tail. Only completed service (ok/degraded engine wall time) is
+// recorded — timeouts would poison the estimate with the deadline,
+// not the cost.
 type classStats struct {
 	mu     sync.Mutex
 	ewmaNS float64
-	ring   [statsRing]float64
-	n      int // total recorded (ring holds min(n, statsRing))
-	idx    int
+	n      int // total recorded
+	win    *obs.Window
+}
+
+func newClassStats() *classStats {
+	return &classStats{win: obs.NewWindow(statsRing)}
 }
 
 // ewmaAlpha weights new samples; 0.2 tracks load shifts within ~10
@@ -50,8 +57,7 @@ func (cs *classStats) record(d time.Duration) {
 	} else {
 		cs.ewmaNS = ewmaAlpha*ns + (1-ewmaAlpha)*cs.ewmaNS
 	}
-	cs.ring[cs.idx] = ns
-	cs.idx = (cs.idx + 1) % statsRing
+	cs.win.Record(d.Nanoseconds())
 	cs.n++
 }
 
@@ -64,20 +70,12 @@ func (cs *classStats) estimate() (ewma, p90 time.Duration, n int) {
 		return 0, 0, 0
 	}
 	ewma = time.Duration(cs.ewmaNS)
-	w := n
-	if w > statsRing {
-		w = statsRing
-	}
-	var buf [statsRing]float64
-	copy(buf[:w], cs.ring[:w])
-	// Partial insertion sort: w <= 64, and this runs on shed/admit
-	// decisions, not per request.
-	for i := 1; i < w; i++ {
-		for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	p90 = time.Duration(buf[min(w-1, (w*9)/10)])
+	// The p90 uses the upper rank min(w-1, 9w/10), not obs.Rank's
+	// int(0.9*(w-1)): with 10 samples it lands on the slowest, so one
+	// outlier in ten already shows in the tail estimate.
+	sorted := cs.win.Snapshot().Sorted
+	w := len(sorted)
+	p90 = time.Duration(sorted[min(w-1, (w*9)/10)])
 	return ewma, p90, n
 }
 
@@ -158,17 +156,18 @@ type overload struct {
 
 	mu      sync.Mutex
 	classes map[string]*classStats
-	global  classStats
+	global  *classStats
 
 	jitterMu sync.Mutex
-	jitter   uint64 // splitmix64 state, seeded by Config.RetryJitterSeed
+	jitter   xrand.Stream // seeded by Config.RetryJitterSeed
 }
 
 func newOverload(target, interval time.Duration, jitterSeed uint64) *overload {
 	return &overload{
 		codel:   codel{target: target, interval: interval},
 		classes: map[string]*classStats{},
-		jitter:  jitterSeed,
+		global:  newClassStats(),
+		jitter:  xrand.Stream(jitterSeed),
 	}
 }
 
@@ -177,7 +176,7 @@ func (o *overload) class(name string) *classStats {
 	defer o.mu.Unlock()
 	cs := o.classes[name]
 	if cs == nil {
-		cs = &classStats{}
+		cs = newClassStats()
 		o.classes[name] = cs
 	}
 	return cs
@@ -191,17 +190,12 @@ func (o *overload) observe(class string, d time.Duration) {
 }
 
 // jitterFactor draws the next deterministic jitter multiplier in
-// [0.75, 1.25) — the same splitmix64 stream the breakers use, so a
-// seeded run replays its Retry-After advice exactly.
+// [0.75, 1.25) from a seeded xrand stream, so a seeded run replays
+// its Retry-After advice exactly.
 func (o *overload) jitterFactor() float64 {
 	o.jitterMu.Lock()
 	defer o.jitterMu.Unlock()
-	o.jitter += 0x9e3779b97f4a7c15
-	x := o.jitter
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return 0.75 + 0.5*float64(x%(1<<53))/(1<<53)
+	return 0.75 + 0.5*o.jitter.Float()
 }
 
 // retryAfter derives shed Retry-After advice from the queue drain

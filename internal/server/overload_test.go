@@ -13,7 +13,7 @@ import (
 // --- service-time estimators ---
 
 func TestClassStatsEstimate(t *testing.T) {
-	var cs classStats
+	cs := newClassStats()
 	if _, _, n := cs.estimate(); n != 0 {
 		t.Fatal("fresh stats report samples")
 	}

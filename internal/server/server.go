@@ -430,12 +430,16 @@ func (s *Server) admit(t *task) admitErr {
 	if s.draining {
 		return admitDraining
 	}
+	// Count the task in flight before a worker can see it: once it is
+	// on the queue its Done may run at any moment.
+	s.inflight.Add(1)
+	s.inflightN.Add(1)
 	select {
 	case s.queue <- t:
-		s.inflight.Add(1)
-		s.inflightN.Add(1)
 		return admitOK
 	default:
+		s.inflightN.Add(-1)
+		s.inflight.Done()
 		return admitFull
 	}
 }
@@ -516,12 +520,14 @@ func (s *Server) respond(w http.ResponseWriter, resp Response) {
 	_ = enc.Encode(resp)
 }
 
-// shed builds a ClassShed response.
+// shed builds a ClassShed response. The advice is at least 1 ms: a
+// breaker about to half-open can have less than a millisecond left,
+// and a 0 would send the 429 without a Retry-After header.
 func shed(class string, detail string, retryAfter time.Duration) Response {
 	return Response{
 		Class:        ClassShed,
 		Error:        "server: shed: " + detail,
-		RetryAfterMS: retryAfter.Milliseconds(),
+		RetryAfterMS: max(retryAfter.Milliseconds(), 1),
 		ClassName:    class,
 	}
 }

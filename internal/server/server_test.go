@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -602,5 +603,58 @@ func TestServerDrainIdempotent(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("concurrent Drain deadlocked")
+	}
+}
+
+// TestAdmitCountsBeforeEnqueue admits already-expired tasks back to
+// back, so an idle worker can finish one (and call inflight.Done)
+// right after the queue send. The in-flight count must be taken before
+// the send, or the WaitGroup goes negative and panics.
+func TestAdmitCountsBeforeEnqueue(t *testing.T) {
+	s, err := New(Config{Engine: engine.New(engine.Config{Workers: 1}), Workers: 8, QueueDepth: 4, DrainBudget: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted := 0
+	for i := 0; i < 500000; i++ {
+		now := time.Now()
+		tk := &task{deadline: now.Add(-time.Second), enqueued: now, ctx: context.Background(), done: make(chan Response, 1)}
+		if s.admit(tk) == admitOK {
+			admitted++
+		}
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if admitted == 0 {
+		t.Fatal("no task admitted")
+	}
+	if n := s.inflightN.Load(); n != 0 {
+		t.Fatalf("in-flight count %d after drain, want 0", n)
+	}
+}
+
+// TestBreakerShedSubMillisecondKeepsRetryAfter sheds on an open
+// breaker with 500µs left before it half-opens: the advice must round
+// up to a Retry-After header, not truncate to none.
+func TestBreakerShedSubMillisecondKeepsRetryAfter(t *testing.T) {
+	s, err := New(Config{Engine: engine.New(engine.Config{Workers: 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	b := NewBreaker(BreakerConfig{MinSamples: 1}, 0)
+	b.Record(time.Unix(1000, 0), true)
+	ok, retryAfter := b.Allow(b.reopenAt.Add(-500 * time.Microsecond))
+	if ok || retryAfter != 500*time.Microsecond {
+		t.Fatalf("Allow = %v, %s; want shed with 500µs left", ok, retryAfter)
+	}
+	rec := httptest.NewRecorder()
+	s.respond(rec, shed("x", "circuit breaker open", retryAfter))
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429", rec.Code)
+	}
+	if got := rec.Header().Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", got)
 	}
 }

@@ -2,6 +2,8 @@ package timing
 
 import (
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 // allocSrc exercises the paths the zero-allocation guarantee covers:
@@ -92,7 +94,7 @@ func TestFrameReuse(t *testing.T) {
 // growth and hashing).
 func TestPredictorLookupAllocFree(t *testing.T) {
 	p := newPredictor(6)
-	h := fnv1a("main")
+	h := xrand.Hash("main")
 	// Populate: more keys than the initial table so at least one grow
 	// happens during warmup, then the key set is fixed.
 	for round := 0; round < 2; round++ {

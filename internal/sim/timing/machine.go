@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/sim/functional"
+	"repro/internal/xrand"
 )
 
 // Stats aggregates the timing run's counters.
@@ -160,7 +161,7 @@ func (m *Machine) meta(f *ir.Function) *funcMeta {
 			maxID = b.ID
 		}
 	}
-	fm := &funcMeta{hash: fnv1a(f.Name), singleExit: make([]int8, maxID+1)}
+	fm := &funcMeta{hash: xrand.Hash(f.Name), singleExit: make([]int8, maxID+1)}
 	m.fnMeta[f] = fm
 	return fm
 }

@@ -1,6 +1,9 @@
 package timing
 
-import "repro/internal/ir"
+import (
+	"repro/internal/ir"
+	"repro/internal/xrand"
+)
 
 // Exit outcome encoding for the predictor: a successor block ID, or
 // retOutcome for a return exit.
@@ -47,17 +50,6 @@ func newPredictor(historyLen int) *predictor {
 	return &predictor{historyLen: historyLen}
 }
 
-// fnv1a is the predictor's function-name hash component. Machines
-// precompute it once per function (see funcMeta); the test-facing
-// observe wrapper computes it on the fly.
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
-}
-
 // key combines the precomputed function hash, the block ID, and the
 // current exit history. The value is identical to the original
 // map-keyed implementation, so table contents (and therefore the
@@ -75,7 +67,7 @@ func (p *predictor) observe(fn string, b *ir.Block, actual int) bool {
 	if _, single := singleExitOutcome(b); single {
 		return true
 	}
-	return p.observeHashed(fnv1a(fn), b.ID, actual)
+	return p.observeHashed(xrand.Hash(fn), b.ID, actual)
 }
 
 // observeHashed records one dynamic exit of a multi-exit block and

@@ -75,15 +75,10 @@ type membership struct {
 	own  []string
 }
 
-// NewPeer builds a single-copy peer-store client over the given base
-// URLs (scheme://host:port, no trailing slash needed). name labels
-// the tier in Stats.
-func NewPeer(name string, schema int, bases []string, client *http.Client) *Peer {
-	return NewPeerWith(name, schema, bases, client, PeerOpts{})
-}
-
-// NewPeerWith builds a peer-store client with explicit replication
-// options.
+// NewPeerWith builds a peer-store client over the given base URLs
+// (scheme://host:port, no trailing slash needed) with explicit
+// replication options; the zero PeerOpts is a single-copy client.
+// name labels the tier in Stats.
 func NewPeerWith(name string, schema int, bases []string, client *http.Client, opts PeerOpts) *Peer {
 	if client == nil {
 		client = &http.Client{Timeout: 5 * time.Second}

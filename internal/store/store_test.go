@@ -277,7 +277,7 @@ func TestPeerStore(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(local, 3))
 	defer srv.Close()
 
-	p := NewPeer("test", 3, []string{srv.URL + "/"}, srv.Client())
+	p := NewPeerWith("test", 3, []string{srv.URL + "/"}, srv.Client(), PeerOpts{})
 	k := key(1)
 	payload := []byte(`{"cycles":42}`)
 
@@ -297,7 +297,7 @@ func TestPeerStore(t *testing.T) {
 
 	// Schema negotiation: a client on a different schema gets nothing
 	// in either direction.
-	p2 := NewPeer("mixed", 4, []string{srv.URL}, srv.Client())
+	p2 := NewPeerWith("mixed", 4, []string{srv.URL}, srv.Client(), PeerOpts{})
 	if _, ok, _ := p2.Get(ctx, k); ok {
 		t.Fatal("cross-schema Get succeeded; must be refused")
 	}
@@ -317,7 +317,7 @@ func TestPeerStore(t *testing.T) {
 		w.Write([]byte(strings.Replace(string(raw), `"cycles":42`, `"cycles":99`, 1)))
 	}))
 	defer evil.Close()
-	pe := NewPeer("evil", 3, []string{evil.URL}, evil.Client())
+	pe := NewPeerWith("evil", 3, []string{evil.URL}, evil.Client(), PeerOpts{})
 	if _, ok, _ := pe.Get(ctx, k); ok {
 		t.Fatal("tampered artifact accepted")
 	}
