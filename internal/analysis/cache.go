@@ -5,11 +5,15 @@ import "repro/internal/ir"
 // Cache memoizes the function-level analyses behind a (function,
 // version) key, where the version is ir.Function.Version — the
 // mutation counter bumped by every structural edit and by MarkDirty at
-// in-place rewrite sites. The convergent formation loop recomputes
+// in-place rewrite sites. The convergent formation loop asks for
 // dominators, loops, and reverse postorder after every merge step even
-// though most steps change nothing (failed merges roll back to the
-// original function); with the cache those recomputations become
-// pointer+integer comparisons.
+// though most steps change nothing (a rejected trial merge restores
+// the hyperblock and the version with it, see ir.BlockSnapshot); with
+// the cache those requests become pointer+integer comparisons.
+//
+// Because a restored version names the pre-trial state again, nothing
+// may consult a Cache for a function while one of its blocks is under
+// an undoable trial edit.
 //
 // A Cache is single-goroutine state (one per Former / per worker); it
 // holds at most one function's analyses at a time, which matches the

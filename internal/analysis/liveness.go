@@ -137,17 +137,7 @@ func ComputeLiveness(f *ir.Function) *Liveness {
 	var buf []ir.Reg
 	for _, b := range order {
 		ue, kill := take(), take()
-		for _, in := range b.Instrs {
-			buf = in.Uses(buf)
-			for _, r := range buf {
-				if !kill.Has(r) {
-					ue.Add(r)
-				}
-			}
-			if d := in.Def(); d.Valid() && !in.Predicated() {
-				kill.Add(d)
-			}
-		}
+		buf = blockUEKill(b, ue, kill, buf)
 		ueS[b.ID], killS[b.ID] = ue, kill
 		inS[b.ID], outS[b.ID] = take(), take()
 	}
@@ -183,6 +173,24 @@ func ComputeLiveness(f *ir.Function) *Liveness {
 		lv.Kill[b] = killS[b.ID]
 	}
 	return lv
+}
+
+// blockUEKill fills the zeroed sets ue and kill with b's
+// upward-exposed uses and unpredicated definitions, using buf as
+// scratch; it returns buf for reuse.
+func blockUEKill(b *ir.Block, ue, kill RegSet, buf []ir.Reg) []ir.Reg {
+	for _, in := range b.Instrs {
+		buf = in.Uses(buf)
+		for _, r := range buf {
+			if !kill.Has(r) {
+				ue.Add(r)
+			}
+		}
+		if d := in.Def(); d.Valid() && !in.Predicated() {
+			kill.Add(d)
+		}
+	}
+	return buf
 }
 
 func unionInto(dst, src RegSet) bool {

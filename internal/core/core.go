@@ -4,11 +4,12 @@
 //
 // The algorithm grows each hyperblock incrementally: starting from a
 // seed basic block it repeatedly selects a successor (via a
-// pluggable block-selection policy), attempts the merge in scratch
-// space — if-converting the successor, optionally running scalar
-// optimizations, normalizing outputs, and checking the TRIPS
-// structural constraints — and commits the merge only if the
-// resulting block is legal. Code duplication is applied as needed:
+// pluggable block-selection policy), attempts the merge as an
+// undoable in-place trial on the hyperblock — if-converting the
+// successor, optionally running scalar optimizations, normalizing
+// outputs, and checking the TRIPS structural constraints — and
+// commits the merge only if the resulting block is legal. Code
+// duplication is applied as needed:
 //
 //   - tail duplication removes side entrances to acyclic regions;
 //   - head duplication generalizes it to back edges, implementing

@@ -100,18 +100,16 @@ func (fo *Former) ExpandBlock(seedID int) *ir.Block {
 			continue
 		}
 
-		// Success: the working function was replaced; re-resolve
-		// everything by stable ID and refresh analyses.
+		// Success: hb was rewritten in place and the merge may have
+		// removed blocks; refresh analyses and drop candidates that
+		// no longer exist.
 		merges++
-		hb = fo.f.BlockByID(seedID)
 		loops = fo.cache.Loops(fo.f)
-		ctx.F, ctx.HB, ctx.Loops = fo.f, hb, loops
-		// Stale candidate pointers refer to the previous clone:
-		// re-resolve, dropping blocks that no longer exist.
+		ctx.Loops = loops
 		fresh := candidates[:0]
 		for _, c := range candidates {
-			if nb := fo.f.BlockByID(c.ID); nb != nil {
-				fresh = append(fresh, nb)
+			if fo.f.BlockByID(c.ID) != nil {
+				fresh = append(fresh, c)
 			}
 		}
 		candidates = fresh

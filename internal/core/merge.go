@@ -60,6 +60,7 @@ func (fo *Former) SplitOversizeCandidate(s *ir.Block) *ir.Block {
 	s.Instrs = append(s.Instrs[:bestCut:bestCut], &ir.Instr{Op: ir.OpBr,
 		Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, Pred: ir.NoReg, Target: nb})
 	fo.f.MarkDirty() // s.Instrs rewritten in place above
+	fo.sum = nil     // s is not the sink: its liveness summary is stale
 	fo.stats.Splits++
 	return nb
 }
@@ -99,10 +100,17 @@ type Former struct {
 	// exclusive, so converting that branch later may read layer k's
 	// speculative values directly.
 	pending map[int]map[int32]map[ir.Reg]ir.Reg
-	// cache memoizes RPO/dominators/loops/liveness against the working
+	// cache memoizes RPO/dominators/loops against the working
 	// function's mutation version, so the convergence loop only
-	// recomputes analyses after a committed change.
+	// recomputes them after a committed change: a rejected trial
+	// restores the version along with the block (ir.BlockSnapshot).
 	cache analysis.Cache
+	// sum summarizes liveness around the hyperblock being grown, so a
+	// trial merge recomputes the hyperblock's live-out set without a
+	// whole-function fixpoint. It is built from the committed function
+	// before a seed's first trial and dropped when a block other than
+	// the sink changes (SplitOversizeCandidate).
+	sum *analysis.SinkSummary
 	// rec, when non-nil, records every decision for skeleton replay.
 	rec *traceRecorder
 	// replay, when non-nil, is the committed-merge decision mergeExec
@@ -187,11 +195,12 @@ func (fo *Former) LegalMerge(hb, s *ir.Block, loops *analysis.LoopForest) bool {
 }
 
 // MergeBlocks attempts to merge s into hb (the paper's MergeBlocks,
-// Figure 5). The merge is carried out on a scratch clone of the whole
-// function; if the optimized, normalized result satisfies the
-// structural constraints, the clone replaces the working function and
-// MergeBlocks returns true. On failure the working function is
-// untouched.
+// Figure 5). The merge edits hb in place on the working function; if
+// the optimized, normalized result satisfies the structural
+// constraints it is committed and MergeBlocks returns true. A trial
+// touches only hb (and the register and branch-ID counters), so on
+// failure restoring hb's snapshot leaves the working function exactly
+// as it was.
 func (fo *Former) MergeBlocks(hb, s *ir.Block, loops *analysis.LoopForest) bool {
 	fo.stats.Attempts++
 
@@ -217,11 +226,11 @@ func (fo *Former) MergeBlocks(hb, s *ir.Block, loops *analysis.LoopForest) bool 
 		}
 	}
 
-	// 1. Copy to scratch space. Steps 2–7 and the commit bookkeeping
-	// are shared with skeleton replay (which runs them in place on
-	// the working function, with the scratch verifier off).
-	fc, m := ir.CloneFunctionMap(fo.f)
-	if !fo.mergeExec(fc, m[hb], m[s], kind, true) {
+	// 1. Snapshot hb for undo. Steps 2–7 and the commit bookkeeping
+	// are shared with skeleton replay.
+	snap := fo.f.SnapshotBlock(hb)
+	if !fo.mergeExec(hb, s, kind) {
+		snap.Restore()
 		return false
 	}
 	d := Decision{Kind: DecMerge, Cand: s.ID, Merge: kind.name()}
@@ -234,25 +243,33 @@ func (fo *Former) MergeBlocks(hb, s *ir.Block, loops *analysis.LoopForest) bool 
 	return true
 }
 
-// mergeExec merges sC into hbC on fc and commits fc as the working
-// function on success. fc is either a scratch clone of the working
-// function (greedy: a failed attempt must leave it untouched) or the
-// working function itself (replay: the outcome is already known, and
-// the caller discards the function when the concrete constraints
-// disagree with the recorded decision). verify gates the per-merge
-// scratch IR check; replay relies on GuardFunction's final verify
-// instead.
-func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, verify bool) bool {
+// mergeExec merges s into hb in place on the working function and
+// reports whether the merge was committed. On false, hb is left
+// half-edited: greedy formation restores its snapshot, and replay
+// discards the function. Greedy merges are verified one by one; replay
+// relies on GuardFunction's final verify instead.
+func (fo *Former) mergeExec(hb, s *ir.Block, kind mergeKind) bool {
+	f := fo.f
+	rd := fo.replay
+	if rd != nil && rd.Shape == nil {
+		rd = nil // trace predates per-merge liveness recording
+	}
+	if rd == nil && (fo.sum == nil || fo.sum.Sink() != hb) {
+		// Before any edit: the summary must describe the committed
+		// function.
+		fo.sum = analysis.SummarizeSink(f, hb)
+	}
+
 	// 2. Locate the branch being if-converted.
 	brIdx := -1
-	for i, in := range hbC.Instrs {
-		if in.Op == ir.OpBr && in.Target == sC {
+	for i, in := range hb.Instrs {
+		if in.Op == ir.OpBr && in.Target == s {
 			brIdx = i
 			break
 		}
 	}
 	if brIdx < 0 {
-		fo.record(Decision{Kind: DecReject, Cand: sC.ID, Merge: kind.name(), Reject: RejectBr})
+		fo.record(Decision{Kind: DecReject, Cand: s.ID, Merge: kind.name(), Reject: RejectBr})
 		return false
 	}
 
@@ -261,14 +278,14 @@ func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, 
 	switch kind {
 	case mergeUnroll:
 		var ok bool
-		body, ok = fo.saved[hbC.ID].materialize(fc)
+		body, ok = fo.saved[hb.ID].materialize(f)
 		if !ok {
 			fo.stats.Rejects++
-			fo.record(Decision{Kind: DecReject, Cand: sC.ID, Merge: kind.name(), Reject: RejectMat})
+			fo.record(Decision{Kind: DecReject, Cand: s.ID, Merge: kind.name(), Reject: RejectMat})
 			return false
 		}
 	default:
-		cl := sC.Clone(sC.Name + ".dup")
+		cl := s.Clone(s.Name + ".dup")
 		body = cl.Instrs
 	}
 
@@ -281,11 +298,11 @@ func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, 
 	// definitions were optimized away are dropped.
 	var initRename map[ir.Reg]ir.Reg
 	chainHit, chainMiss := false, false
-	br := hbC.Instrs[brIdx]
+	br := hb.Instrs[brIdx]
 	if br.BrID != 0 && !fo.cfg.NoChain {
-		if pr := fo.pending[hbC.ID][br.BrID]; pr != nil {
+		if pr := fo.pending[hb.ID][br.BrID]; pr != nil {
 			defined := map[ir.Reg]bool{}
-			for _, in := range hbC.Instrs {
+			for _, in := range hb.Instrs {
 				if d := in.Def(); d.Valid() {
 					defined[d] = true
 				}
@@ -303,38 +320,29 @@ func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, 
 			chainMiss = true
 		}
 	}
-	brIDFloor := fc.NewBrID() // all IDs assigned by this combine exceed this
-	_, outRename := combine(fc, hbC, brIdx, body, initRename)
+	brIDFloor := f.NewBrID() // all IDs assigned by this combine exceed this
+	_, outRename := combine(f, hb, brIdx, body, initRename)
 
 	// 5. Optimize the merged block (when iterative optimization is
 	// enabled) and normalize its outputs. Both consume only the merged
-	// block's live-out set. Greedy computes it from whole-function
-	// liveness (cached against the mutation version, recomputing only
-	// when the intervening pass actually changed code); replay
-	// substitutes the sets recorded with the decision — the working
-	// function matches the recorded run's committed state instruction
-	// for instruction, so they are exactly what ComputeLiveness would
-	// return, and the three per-merge fixpoints disappear.
-	rd := fo.replay
-	if rd != nil && rd.Shape == nil {
-		rd = nil // trace predates per-merge liveness recording
-	}
-	var lv *analysis.Liveness
+	// block's live-out set. Greedy recomputes it from the seed's sink
+	// summary; replay substitutes the sets recorded with the decision —
+	// the working function matches the recorded run's committed state
+	// instruction for instruction, so they are exactly what
+	// ComputeLiveness would return.
 	var out1 analysis.RegSet
 	if rd != nil {
-		out1 = regSetFrom(fc.NumRegs(), rd.Out1)
+		out1 = regSetFrom(f.NumRegs(), rd.Out1)
 	} else {
-		lv = fo.cache.Liveness(fc)
-		out1 = lv.Out[hbC]
+		out1, _ = fo.liveOut(hb)
 	}
 	out2 := out1
 	if fo.cfg.IterOpt {
-		opt.OptimizeBlock(fc, hbC, out1)
+		opt.OptimizeBlock(f, hb, out1)
 		if rd != nil {
-			out2 = regSetFrom(fc.NumRegs(), rd.Out2)
+			out2 = regSetFrom(f.NumRegs(), rd.Out2)
 		} else {
-			lv = fo.cache.Liveness(fc)
-			out2 = lv.Out[hbC]
+			out2, _ = fo.liveOut(hb)
 		}
 	}
 
@@ -343,18 +351,19 @@ func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, 
 	// alike) so skeleton replay can re-check this exact precondition
 	// against other capacity limits without redoing the measurement.
 	var shape trips.BlockStats
+	trips.NormalizeOutputs(hb, &analysis.Liveness{
+		Out: map[*ir.Block]analysis.RegSet{hb: out2}})
 	if rd != nil {
-		trips.NormalizeOutputs(hbC, &analysis.Liveness{
-			Out: map[*ir.Block]analysis.RegSet{hbC: out2}})
 		shape = *rd.Shape
 	} else {
-		trips.NormalizeOutputs(hbC, lv)
-		lv = fo.cache.Liveness(fc)
-		shape = trips.MeasureWithFanout(hbC, lv, fo.cfg.Cons)
+		out3, ue3 := fo.liveOut(hb)
+		shape = trips.MeasureWithFanout(hb, &analysis.Liveness{
+			Out:   map[*ir.Block]analysis.RegSet{hb: out3},
+			UEVar: map[*ir.Block]analysis.RegSet{hb: ue3}}, fo.cfg.Cons)
 	}
 	if err := fo.cfg.Cons.Check(shape); err != nil {
 		fo.stats.Rejects++
-		fo.record(Decision{Kind: DecReject, Cand: sC.ID, Merge: kind.name(),
+		fo.record(Decision{Kind: DecReject, Cand: s.ID, Merge: kind.name(),
 			Reject: RejectCons, Shape: &shape, ChainHit: chainHit, ChainMiss: chainMiss})
 		return false
 	}
@@ -364,21 +373,20 @@ func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, 
 		fo.lastMerge.shape = shape
 	}
 
-	// 7. Transform the CFG (scratch side, then commit).
+	// 7. Transform the CFG and commit. Removed blocks are unreachable
+	// from the entry, hence from every block the sink summary still
+	// consults, so the summary stays valid.
 	if kind == mergePlain {
-		fc.RemoveBlock(sC)
+		f.RemoveBlock(s)
 	}
-	fc.RemoveUnreachable()
-	if verify {
-		if err := ir.Verify(fc); err != nil {
-			// A malformed scratch function indicates a bug; reject the
-			// merge rather than corrupting the working function.
-			panic(fmt.Sprintf("core: scratch merge produced invalid IR: %v", err))
+	f.RemoveUnreachable()
+	if fo.replay == nil {
+		if err := ir.Verify(f); err != nil {
+			// Malformed IR indicates a formation bug: GuardFunction
+			// recovers the panic and degrades this function.
+			panic(fmt.Sprintf("core: merge produced invalid IR: %v", err))
 		}
 	}
-
-	// Commit.
-	fo.f = fc
 	fo.stats.Merges++
 	switch kind {
 	case mergeTail:
@@ -387,19 +395,19 @@ func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, 
 		fo.stats.Peels++
 	case mergeUnroll:
 		fo.stats.Unrolls++
-		fo.unrolls[hbC.ID]++
+		fo.unrolls[hb.ID]++
 	}
 
 	// Record this layer's speculative renames under every surviving
 	// branch this merge appended (identified by fresh BrIDs): such a
 	// branch fires only when this layer's merge predicate held.
 	if len(outRename) > 0 {
-		byBr := fo.pending[hbC.ID]
+		byBr := fo.pending[hb.ID]
 		if byBr == nil {
 			byBr = map[int32]map[ir.Reg]ir.Reg{}
-			fo.pending[hbC.ID] = byBr
+			fo.pending[hb.ID] = byBr
 		}
-		for _, in := range hbC.Instrs {
+		for _, in := range hb.Instrs {
 			if in.Op == ir.OpBr && in.BrID > brIDFloor {
 				byBr[in.BrID] = outRename
 			}
@@ -407,10 +415,26 @@ func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, 
 	}
 	// The converted branch is gone; drop its entry.
 	if br.BrID != 0 {
-		delete(fo.pending[hbC.ID], br.BrID)
+		delete(fo.pending[hb.ID], br.BrID)
 	}
 	return true
 }
+
+// liveOut returns hb's live-out and upward-exposed sets in the
+// current (possibly mid-trial) working function, from the sink
+// summary.
+func (fo *Former) liveOut(hb *ir.Block) (out, ue analysis.RegSet) {
+	out, ue = fo.sum.LiveOut(hb, fo.f.NumRegs())
+	if trialLivenessHook != nil {
+		trialLivenessHook(fo.f, hb, out, ue)
+	}
+	return out, ue
+}
+
+// trialLivenessHook, when non-nil, observes every live-out set a
+// greedy trial merge computes from the sink summary. Tests set it to
+// cross-check the summary against whole-function liveness.
+var trialLivenessHook func(f *ir.Function, hb *ir.Block, out, ue analysis.RegSet)
 
 // regSetFrom rebuilds a RegSet from a recorded member list. Sized to
 // cover both the function's registers and every recorded member, so a

@@ -32,8 +32,9 @@ type Spec struct {
 	// on the first slash to group sub-benchmarks.
 	Name string
 	// AllocBudget is the maximum allocs/op the bench-gate allows, or
-	// -1 for no allocation budget. The budget is exact: the steady
-	// state either allocates or it does not, so there is no tolerance.
+	// -1 for no allocation budget. The gate compares exactly: a
+	// zero-allocation steady state gets 0, and a path that does
+	// allocate carries its headroom in the budget itself.
 	AllocBudget int64
 	// Fn is the benchmark body. Every body calls b.ReportAllocs.
 	Fn func(b *testing.B)
@@ -45,7 +46,10 @@ func Specs() []Spec {
 	return []Spec{
 		{Name: "Formation/Frontend", AllocBudget: -1, Fn: benchFrontend},
 		{Name: "Formation/Profile", AllocBudget: -1, Fn: benchProfile},
-		{Name: "Formation/Form", AllocBudget: -1, Fn: benchForm},
+		// Trial merges snapshot and edit only the hyperblock: 33,440
+		// allocs/op measured plus 5%. A per-trial whole-function clone
+		// (45,759 allocs/op before) fails this gate.
+		{Name: "Formation/Form", AllocBudget: 35112, Fn: benchForm},
 		{Name: "Formation/Regalloc", AllocBudget: -1, Fn: benchRegalloc},
 		{Name: "Formation/Full", AllocBudget: -1, Fn: benchFormationFull},
 		{Name: "Formation/Instantiate", AllocBudget: -1, Fn: benchInstantiate},
