@@ -85,11 +85,11 @@ func TestDominators(t *testing.T) {
 		"B": "A", "CD": "B", "E": "CD", "FG": "E", "H": "FG", "I": "H",
 	}
 	for b, w := range wantIdom {
-		if got := dom.Idom[bs[b]]; got != bs[w] {
+		if got := dom.Idom(bs[b]); got != bs[w] {
 			t.Errorf("idom(%s) = %v, want %s", b, got, w)
 		}
 	}
-	if dom.Idom[bs["A"]] != nil {
+	if dom.Idom(bs["A"]) != nil {
 		t.Error("entry idom must be nil")
 	}
 	if !dom.Dominates(bs["B"], bs["I"]) {
@@ -100,23 +100,6 @@ func TestDominators(t *testing.T) {
 	}
 	if !dom.Dominates(bs["CD"], bs["CD"]) {
 		t.Error("dominance is reflexive")
-	}
-}
-
-func TestPostDominators(t *testing.T) {
-	f, bs := buildLoopNest(t)
-	pd := PostDominators(f)
-	// I post-dominates everything.
-	for _, n := range []string{"A", "B", "CD", "E", "FG", "H"} {
-		if !pd.Dominates(bs["I"], bs[n]) {
-			t.Errorf("I must post-dominate %s", n)
-		}
-	}
-	if pd.Dominates(bs["CD"], bs["H"]) {
-		t.Error("CD must not post-dominate H")
-	}
-	if !pd.Dominates(bs["H"], bs["FG"]) {
-		t.Error("H post-dominates FG")
 	}
 }
 
@@ -342,8 +325,10 @@ func TestEdgeCountAndReachable(t *testing.T) {
 	if n := EdgeCount(f); n != 9 {
 		t.Errorf("EdgeCount = %d, want 9", n)
 	}
-	r := Reachable(f)
-	if len(r) != 7 || !r[bs["I"]] {
-		t.Errorf("Reachable wrong: %d blocks", len(r))
+	dom := Dominators(f)
+	for name, b := range bs {
+		if !dom.Dominates(bs["A"], b) {
+			t.Errorf("%s must be reachable from the entry", name)
+		}
 	}
 }

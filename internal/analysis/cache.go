@@ -6,10 +6,13 @@ import "repro/internal/ir"
 // version) key, where the version is ir.Function.Version — the
 // mutation counter bumped by every structural edit and by MarkDirty at
 // in-place rewrite sites. The convergent formation loop asks for
-// dominators, loops, and reverse postorder after every merge step even
-// though most steps change nothing (a rejected trial merge restores
-// the hyperblock and the version with it, see ir.BlockSnapshot); with
-// the cache those requests become pointer+integer comparisons.
+// dominance and reverse postorder after every merge step even though
+// most steps change nothing (a rejected trial merge restores the
+// hyperblock and the version with it, see ir.BlockSnapshot); with the
+// cache those requests become pointer+integer comparisons. After a
+// committed step the cache rebuilds its one DomTree in place, reusing
+// its buffers, so the DomTree and RPO slice it hands out are valid
+// only until its next recompute.
 //
 // Because a restored version names the pre-trial state again, nothing
 // may consult a Cache for a function while one of its blocks is under
@@ -23,8 +26,8 @@ type Cache struct {
 	fn      *ir.Function
 	version uint64
 
-	rpo   []*ir.Block
-	dom   *DomTree
+	dom   DomTree
+	domOK bool
 	loops *LoopForest
 	live  *Liveness
 }
@@ -37,37 +40,36 @@ func (c *Cache) sync(f *ir.Function) {
 	}
 	c.fn = f
 	c.version = f.Version()
-	c.rpo = nil
-	c.dom = nil
+	c.domOK = false
 	c.loops = nil
 	c.live = nil
 }
 
-// RPO returns (possibly cached) ReversePostorder(f). Callers must not
-// mutate the returned slice.
+// RPO returns ReversePostorder(f), shared with the cached dominator
+// tree. Callers must not mutate the returned slice, and it is valid
+// only until the cache's next recompute.
 func (c *Cache) RPO(f *ir.Function) []*ir.Block {
-	c.sync(f)
-	if c.rpo == nil {
-		c.rpo = ReversePostorder(f)
-	}
-	return c.rpo
+	return c.Dom(f).order
 }
 
-// Dom returns (possibly cached) Dominators(f).
+// Dom returns Dominators(f), rebuilt in place in the cache's own
+// buffers when f or its version changed. The tree is valid only until
+// the cache's next recompute.
 func (c *Cache) Dom(f *ir.Function) *DomTree {
 	c.sync(f)
-	if c.dom == nil {
-		c.dom = Dominators(f)
+	if !c.domOK {
+		c.dom.build(f)
+		c.domOK = true
 	}
-	return c.dom
+	return &c.dom
 }
 
 // Loops returns (possibly cached) Loops(f), sharing the dominator tree
-// with Dom.
+// with Dom. The forest owns its data and outlives recomputes.
 func (c *Cache) Loops(f *ir.Function) *LoopForest {
 	c.sync(f)
 	if c.loops == nil {
-		c.loops = LoopsWithDom(f, c.Dom(f))
+		c.loops = LoopsWithDom(c.Dom(f))
 	}
 	return c.loops
 }

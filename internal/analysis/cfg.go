@@ -1,7 +1,7 @@
 // Package analysis provides the control-flow and dataflow analyses the
 // hyperblock former and optimizer depend on: reverse postorder,
-// dominators and post-dominators (Cooper–Harvey–Kennedy), a
-// natural-loop forest, liveness, and def-use summaries.
+// a dense dominator index (Cooper–Harvey–Kennedy), a natural-loop
+// forest, liveness, and def-use summaries.
 package analysis
 
 import "repro/internal/ir"
@@ -30,47 +30,13 @@ func succLists(f *ir.Function) [][]*ir.Block {
 }
 
 // ReversePostorder returns the blocks reachable from f's entry in
-// reverse postorder of a depth-first traversal. Unreachable blocks are
-// omitted.
-//
-// The traversal is an explicit-stack DFS that visits successors in the
-// same order as the recursive formulation, so the returned order is
-// identical instruction-for-instruction to the original recursive
-// implementation.
+// reverse postorder of a depth-first traversal that visits each
+// block's successors in first-branch order. Unreachable blocks are
+// omitted. It is the numbering a DomTree is built on.
 func ReversePostorder(f *ir.Function) []*ir.Block {
-	e := f.Entry()
-	if e == nil {
-		return nil
-	}
-	seen := make([]bool, f.BlockIDBound())
-	succs := succLists(f)
-	order := make([]*ir.Block, 0, len(f.Blocks))
-	type dfsFrame struct {
-		b *ir.Block
-		i int
-	}
-	stack := make([]dfsFrame, 0, len(f.Blocks))
-	seen[e.ID] = true
-	stack = append(stack, dfsFrame{b: e})
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		ss := succs[fr.b.ID]
-		if fr.i < len(ss) {
-			s := ss[fr.i]
-			fr.i++
-			if !seen[s.ID] {
-				seen[s.ID] = true
-				stack = append(stack, dfsFrame{b: s})
-			}
-			continue
-		}
-		order = append(order, fr.b)
-		stack = stack[:len(stack)-1]
-	}
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
+	var t DomTree
+	t.number(f)
+	return t.order
 }
 
 // Postorder returns reachable blocks in postorder.
@@ -91,28 +57,4 @@ func EdgeCount(f *ir.Function) int {
 		n += len(buf)
 	}
 	return n
-}
-
-// Reachable returns the set of blocks reachable from the entry.
-func Reachable(f *ir.Function) map[*ir.Block]bool {
-	seen := make(map[*ir.Block]bool, len(f.Blocks))
-	var stack, succs []*ir.Block
-	if e := f.Entry(); e != nil {
-		stack = append(stack, e)
-	}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[b] {
-			continue
-		}
-		seen[b] = true
-		succs = b.SuccsAppend(succs[:0])
-		for _, s := range succs {
-			if !seen[s] {
-				stack = append(stack, s)
-			}
-		}
-	}
-	return seen
 }

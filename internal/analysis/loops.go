@@ -66,23 +66,25 @@ func (lf *LoopForest) IsBackEdge(from, to *ir.Block) bool {
 // tree: an edge n->h is a back edge iff h dominates n. Loops with a
 // shared header are merged.
 func Loops(f *ir.Function) *LoopForest {
-	dom := Dominators(f)
-	return LoopsWithDom(f, dom)
+	return LoopsWithDom(Dominators(f))
 }
 
-// LoopsWithDom is Loops with a precomputed dominator tree.
-func LoopsWithDom(f *ir.Function, dom *DomTree) *LoopForest {
+// LoopsWithDom is Loops over a precomputed dominator tree; it walks
+// the tree's predecessor index, so the forest needs no CFG pass of its
+// own. Formation asks the DomTree directly (IsHeader, IsBackEdge); the
+// forest serves passes that need loop bodies and nesting.
+func LoopsWithDom(dom *DomTree) *LoopForest {
 	lf := &LoopForest{
 		ByHeader: map[*ir.Block]*Loop{},
 		loopOf:   map[*ir.Block]*Loop{},
 	}
-	reach := Reachable(f)
-	preds := predsOf(f, dom.Order)
 
 	// Find back edges and collect loop bodies.
-	for _, n := range dom.Order {
-		for _, h := range n.Succs() {
-			if !reach[h] || !dom.Dominates(h, n) {
+	var stack []int32
+	for ni, n := range dom.order {
+		for _, h := range dom.succ[dom.succLo[n.ID]:dom.succHi[n.ID]] {
+			hi := dom.num[h.ID]
+			if !dom.dominates(hi, int32(ni)) {
 				continue
 			}
 			l := lf.ByHeader[h]
@@ -93,16 +95,17 @@ func LoopsWithDom(f *ir.Function, dom *DomTree) *LoopForest {
 			l.Latches = append(l.Latches, n)
 			// Walk predecessors backward from the latch until the
 			// header, adding all encountered blocks.
-			stack := []*ir.Block{n}
+			stack = append(stack[:0], int32(ni))
 			for len(stack) > 0 {
-				b := stack[len(stack)-1]
+				bi := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
+				b := dom.order[bi]
 				if l.Blocks[b] {
 					continue
 				}
 				l.Blocks[b] = true
-				for _, p := range preds[b] {
-					if !l.Blocks[p] {
+				for _, p := range dom.pred[dom.predOff[bi]:dom.predOff[bi+1]] {
+					if !l.Blocks[dom.order[p]] {
 						stack = append(stack, p)
 					}
 				}
@@ -161,4 +164,12 @@ func LoopsWithDom(f *ir.Function, dom *DomTree) *LoopForest {
 		}
 	}
 	return lf
+}
+
+func sortBlocksByID(bs []*ir.Block) {
+	for i := 1; i < len(bs); i++ {
+		for j := i; j > 0 && bs[j-1].ID > bs[j].ID; j-- {
+			bs[j-1], bs[j] = bs[j], bs[j-1]
+		}
+	}
 }

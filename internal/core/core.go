@@ -66,11 +66,14 @@ func (s *Stats) Add(other Stats) {
 
 // Context is the information a block-selection policy may consult.
 type Context struct {
-	F     *ir.Function
-	HB    *ir.Block
-	Prof  *profile.FuncProfile
-	Loops *analysis.LoopForest
-	Cons  trips.Constraints
+	F    *ir.Function
+	HB   *ir.Block
+	Prof *profile.FuncProfile
+	// Dom answers back-edge and loop-header questions about CFG
+	// edges. During formation it is the Former's cached index,
+	// rebuilt in place after every committed change.
+	Dom  *analysis.DomTree
+	Cons trips.Constraints
 }
 
 // Policy selects which candidate successor to merge next (the paper's

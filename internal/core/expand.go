@@ -31,8 +31,8 @@ func (fo *Former) ExpandBlock(seedID int) *ir.Block {
 		return nil
 	}
 
-	loops := fo.cache.Loops(fo.f)
-	ctx := &Context{F: fo.f, HB: hb, Prof: fo.cfg.Prof, Loops: loops, Cons: fo.cfg.Cons}
+	dom := fo.cache.Dom(fo.f)
+	ctx := &Context{F: fo.f, HB: hb, Prof: fo.cfg.Prof, Dom: dom, Cons: fo.cfg.Cons}
 	pol.Prepare(ctx)
 
 	// tried marks candidates that failed for this hyperblock (the
@@ -78,19 +78,19 @@ func (fo *Former) ExpandBlock(seedID int) *ir.Block {
 		candidates = append(candidates[:i], candidates[i+1:]...)
 		attemptCount[s.ID]++
 
-		if !fo.LegalMerge(hb, s, loops) {
+		if !fo.LegalMerge(hb, s, dom) {
 			tried[s.ID] = true
 			continue
 		}
-		if !fo.MergeBlocks(hb, s, loops) {
+		if !fo.MergeBlocks(hb, s, dom) {
 			// §9 extension: a rejected oversize candidate may be
 			// split; its first half becomes a fresh candidate.
 			if fo.cfg.SplitOversize && s != hb && !s.HasCall() &&
 				len(s.Instrs) > fo.cfg.Cons.MaxInstrs/4 {
 				if nb := fo.SplitOversizeCandidate(s); nb != nil {
 					fo.record(Decision{Kind: DecSplit, Cand: s.ID})
-					loops = fo.cache.Loops(fo.f)
-					ctx.Loops = loops
+					dom = fo.cache.Dom(fo.f)
+					ctx.Dom = dom
 					candidates = append(candidates, s)
 					_ = nb
 					continue
@@ -101,11 +101,11 @@ func (fo *Former) ExpandBlock(seedID int) *ir.Block {
 		}
 
 		// Success: hb was rewritten in place and the merge may have
-		// removed blocks; refresh analyses and drop candidates that
-		// no longer exist.
+		// removed blocks; refresh the dominator index and drop
+		// candidates that no longer exist.
 		merges++
-		loops = fo.cache.Loops(fo.f)
-		ctx.Loops = loops
+		dom = fo.cache.Dom(fo.f)
+		ctx.Dom = dom
 		fresh := candidates[:0]
 		for _, c := range candidates {
 			if fo.f.BlockByID(c.ID) != nil {

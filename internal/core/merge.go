@@ -100,10 +100,11 @@ type Former struct {
 	// exclusive, so converting that branch later may read layer k's
 	// speculative values directly.
 	pending map[int]map[int32]map[ir.Reg]ir.Reg
-	// cache memoizes RPO/dominators/loops against the working
-	// function's mutation version, so the convergence loop only
-	// recomputes them after a committed change: a rejected trial
-	// restores the version along with the block (ir.BlockSnapshot).
+	// cache memoizes RPO and the dense dominator index against the
+	// working function's mutation version, so the convergence loop
+	// only rebuilds them (in place) after a committed change: a
+	// rejected trial restores the version along with the block
+	// (ir.BlockSnapshot).
 	cache analysis.Cache
 	// sum summarizes liveness around the hyperblock being grown, so a
 	// trial merge recomputes the hyperblock's live-out set without a
@@ -169,7 +170,7 @@ func (fo *Former) Stats() Stats { return fo.stats }
 // that are not (unique-branch) successors, self-merges without head
 // duplication or beyond the unroll budget, and loop-header merges
 // (peeling) when head duplication is disabled.
-func (fo *Former) LegalMerge(hb, s *ir.Block, loops *analysis.LoopForest) bool {
+func (fo *Former) LegalMerge(hb, s *ir.Block, dom *analysis.DomTree) bool {
 	if hb.HasCall() || s.HasCall() {
 		return false
 	}
@@ -188,7 +189,7 @@ func (fo *Former) LegalMerge(hb, s *ir.Block, loops *analysis.LoopForest) bool {
 	if s == hb {
 		return fo.cfg.HeadDup && fo.unrolls[hb.ID] < fo.cfg.MaxUnrollPerLoop
 	}
-	if loops.IsHeader(s) && !loops.IsBackEdge(hb, s) && !fo.cfg.HeadDup {
+	if dom.IsHeader(s) && !dom.IsBackEdge(hb, s) && !fo.cfg.HeadDup {
 		return false // peeling requires head duplication
 	}
 	return true
@@ -201,7 +202,7 @@ func (fo *Former) LegalMerge(hb, s *ir.Block, loops *analysis.LoopForest) bool {
 // touches only hb (and the register and branch-ID counters), so on
 // failure restoring hb's snapshot leaves the working function exactly
 // as it was.
-func (fo *Former) MergeBlocks(hb, s *ir.Block, loops *analysis.LoopForest) bool {
+func (fo *Former) MergeBlocks(hb, s *ir.Block, dom *analysis.DomTree) bool {
 	fo.stats.Attempts++
 
 	// Classify the merge up front (on the real function).
@@ -211,7 +212,7 @@ func (fo *Former) MergeBlocks(hb, s *ir.Block, loops *analysis.LoopForest) bool 
 		kind = mergeUnroll
 	case fo.f.NumPredEdges(s) == 1:
 		kind = mergePlain
-	case loops.IsHeader(s) && !loops.IsBackEdge(hb, s):
+	case dom.IsHeader(s) && !dom.IsBackEdge(hb, s):
 		kind = mergePeel
 	default:
 		kind = mergeTail

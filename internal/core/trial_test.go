@@ -35,15 +35,15 @@ func TestRejectedTrialLeavesFunctionUnchanged(t *testing.T) {
 				tried := map[*ir.Block]bool{}
 				for grown := true; grown; {
 					grown = false
-					loops := fo.cache.Loops(fo.f)
+					dom := fo.cache.Dom(fo.f)
 					for _, s := range hb.Succs() {
-						if tried[s] || !fo.LegalMerge(hb, s, loops) {
+						if tried[s] || !fo.LegalMerge(hb, s, dom) {
 							continue
 						}
 						tried[s] = true
 						text, nregs, ver := ir.FormatFunction(fo.f), fo.f.NumRegs(), fo.f.Version()
 						before := ir.CloneFunction(fo.f)
-						if fo.MergeBlocks(hb, s, loops) {
+						if fo.MergeBlocks(hb, s, dom) {
 							grown = true // hb's successors changed
 							break
 						}

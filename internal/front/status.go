@@ -90,20 +90,20 @@ func (f *Front) StatusSnapshot() Status {
 	f.mu.RUnlock()
 
 	st := Status{
-		Build:             buildinfo.Collect("hbfront"),
-		UptimeSeconds:     time.Since(f.start).Seconds(),
-		Draining:          draining,
-		Gen:               set.gen,
-		Swaps:             f.swaps.Load(),
-		Requests:          f.requests.Load(),
-		Inflight:          f.inflightN.Load(),
-		Coalesced:         f.coalesced.Load(),
-		CacheHits:         f.cacheHits.Load(),
-		SkeletonHits:      f.skelHits.Load(),
-		SkeletonFallbacks: f.skelFallbacks.Load(),
-		Hedges:            f.hedges.Load(),
-		HedgeWins:         f.hedgeWins.Load(),
-		Failovers:         f.failovers.Load(),
+		Build:                buildinfo.Collect("hbfront"),
+		UptimeSeconds:        time.Since(f.start).Seconds(),
+		Draining:             draining,
+		Gen:                  set.gen,
+		Swaps:                f.swaps.Load(),
+		Requests:             f.requests.Load(),
+		Inflight:             f.inflightN.Load(),
+		Coalesced:            f.coalesced.Load(),
+		CacheHits:            f.cacheHits.Load(),
+		SkeletonHits:         f.skelHits.Load(),
+		SkeletonFallbacks:    f.skelFallbacks.Load(),
+		Hedges:               f.hedges.Load(),
+		HedgeWins:            f.hedgeWins.Load(),
+		Failovers:            f.failovers.Load(),
 		ShedFailovers:        f.shedNexts.Load(),
 		AllShardsShedding:    f.allShed.Load(),
 		HedgesSkippedDead:    f.deadSkips.Load(),

@@ -24,27 +24,44 @@ func Verify(f *Function) error {
 	if len(f.Blocks) == 0 {
 		return errors.New("ir: function has no blocks")
 	}
-	inFn := make(map[*Block]bool, len(f.Blocks))
-	ids := make(map[int]bool, len(f.Blocks))
+	lo, hi := f.Blocks[0].ID, f.Blocks[0].ID
 	for _, b := range f.Blocks {
-		if inFn[b] {
+		lo, hi = min(lo, b.ID), max(hi, b.ID)
+	}
+	reg := blockTable{lo: lo, byID: make([]*Block, hi-lo+1)}
+	for _, b := range f.Blocks {
+		switch reg.byID[b.ID-lo] {
+		case nil:
+		case b:
 			return fmt.Errorf("ir: block %s registered twice", b)
-		}
-		inFn[b] = true
-		if ids[b.ID] {
+		default:
 			return fmt.Errorf("ir: duplicate block id %d", b.ID)
 		}
-		ids[b.ID] = true
+		reg.byID[b.ID-lo] = b
 	}
 	for _, b := range f.Blocks {
-		if err := verifyBlock(f, b, inFn); err != nil {
+		if err := verifyBlock(f, b, reg); err != nil {
 			return fmt.Errorf("ir: %s.%s: %w", f.Name, b.Name, err)
 		}
 	}
 	return nil
 }
 
-func verifyBlock(f *Function, b *Block, inFn map[*Block]bool) error {
+// blockTable holds a function's registered blocks indexed by ID
+// (offset by the smallest ID). A block is registered iff the table
+// holds that very pointer at its ID, so a foreign block sharing an ID
+// with a registered one is still foreign.
+type blockTable struct {
+	lo   int
+	byID []*Block
+}
+
+func (t blockTable) has(b *Block) bool {
+	i := b.ID - t.lo
+	return i >= 0 && i < len(t.byID) && t.byID[i] == b
+}
+
+func verifyBlock(f *Function, b *Block, reg blockTable) error {
 	if !b.Terminated() {
 		return errors.New("block not terminated")
 	}
@@ -61,7 +78,7 @@ func verifyBlock(f *Function, b *Block, inFn map[*Block]bool) error {
 			if in.Target == nil {
 				return fmt.Errorf("branch %d has nil target", i)
 			}
-			if !inFn[in.Target] {
+			if !reg.has(in.Target) {
 				return fmt.Errorf("branch %d targets foreign block %s", i, in.Target)
 			}
 			if !in.Predicated() {

@@ -163,3 +163,31 @@ func TestCloneFunctionPreservesRegNumbering(t *testing.T) {
 		t.Fatalf("NewReg on clone advanced original: %d", f.NumRegs())
 	}
 }
+
+// A foreign block that shares its ID with a registered block is still
+// foreign: Verify must compare block identity, not just the ID.
+func TestVerifyForeignTargetSharingID(t *testing.T) {
+	f, _, left, _, join := buildDiamond(t)
+	g := CloneFunction(f)
+	twin := g.BlockByID(join.ID)
+	if twin == nil || twin == join || twin.ID != join.ID {
+		t.Fatal("clone must hold a distinct block with join's ID")
+	}
+	br := left.Instrs[len(left.Instrs)-1]
+	br.Target = twin
+	if err := Verify(f); err == nil || !strings.Contains(err.Error(), "targets foreign block") {
+		t.Fatalf("want foreign-target error, got %v", err)
+	}
+	br.Target = &Block{ID: f.BlockIDBound() + 5, Name: "far"}
+	if err := Verify(f); err == nil || !strings.Contains(err.Error(), "targets foreign block") {
+		t.Fatalf("want foreign-target error for an out-of-range ID, got %v", err)
+	}
+	br.Target = join
+	if err := Verify(f); err != nil {
+		t.Fatalf("restored function must verify: %v", err)
+	}
+	f.Blocks = append(f.Blocks, left)
+	if err := Verify(f); err == nil || !strings.Contains(err.Error(), "registered twice") {
+		t.Fatalf("want registered-twice error, got %v", err)
+	}
+}

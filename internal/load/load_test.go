@@ -151,7 +151,7 @@ func TestStreamRoundTrip(t *testing.T) {
 func TestReportMath(t *testing.T) {
 	outs := []Outcome{
 		{Seq: 0, Class: "a", ErrClass: "ok", LatencyMS: 50, TimeoutMS: 1000},
-		{Seq: 1, Class: "a", ErrClass: "ok", LatencyMS: 1500, TimeoutMS: 1000},  // ok but late: admitted, not goodput
+		{Seq: 1, Class: "a", ErrClass: "ok", LatencyMS: 1500, TimeoutMS: 1000},      // ok but late: admitted, not goodput
 		{Seq: 2, Class: "a", ErrClass: "timeout", LatencyMS: 1050, TimeoutMS: 1000}, // inside grace
 		{Seq: 3, Class: "b", ErrClass: "timeout", LatencyMS: 1900, TimeoutMS: 1000}, // beyond grace: miss
 		{Seq: 4, Class: "b", ErrClass: "shed", LatencyMS: 1, TimeoutMS: 1000, RetryAfterMS: 120},

@@ -116,10 +116,10 @@ type Report struct {
 
 	// Classes counts terminal taxonomy classes; Latency covers
 	// admitted responses; GoodLatency covers goodput responses only.
-	Classes     map[string]int `json:"classes"`
-	Latency     Quantiles      `json:"latency"`
-	GoodLatency Quantiles      `json:"good_latency"`
-	ShedRetry   RetrySummary   `json:"shed_retry_after"`
+	Classes     map[string]int          `json:"classes"`
+	Latency     Quantiles               `json:"latency"`
+	GoodLatency Quantiles               `json:"good_latency"`
+	ShedRetry   RetrySummary            `json:"shed_retry_after"`
 	PerClass    map[string]*ClassReport `json:"per_class"`
 
 	ElapsedMS float64 `json:"elapsed_ms"`

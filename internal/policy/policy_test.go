@@ -40,11 +40,11 @@ func ctxFor(t *testing.T, prog *ir.Program, prof *profile.Profile) *core.Context
 	t.Helper()
 	f := prog.Func("main")
 	return &core.Context{
-		F:     f,
-		HB:    f.Entry(),
-		Prof:  prof.Get("main"),
-		Loops: analysis.Loops(f),
-		Cons:  trips.Default(),
+		F:    f,
+		HB:   f.Entry(),
+		Prof: prof.Get("main"),
+		Dom:  analysis.Dominators(f),
+		Cons: trips.Default(),
 	}
 }
 
@@ -91,7 +91,7 @@ func TestDepthFirstPicksHottest(t *testing.T) {
 	if hb == nil {
 		t.Fatal("no biased branch found")
 	}
-	ctx := &core.Context{F: f, HB: hb, Prof: fp, Loops: analysis.Loops(f), Cons: trips.Default()}
+	ctx := &core.Context{F: f, HB: hb, Prof: fp, Dom: analysis.Dominators(f), Cons: trips.Default()}
 	df := DepthFirst{}
 	df.Prepare(ctx)
 	got := df.Select(ctx, []*ir.Block{cold, hot})
@@ -107,7 +107,7 @@ func TestDepthFirstPicksHottest(t *testing.T) {
 func TestDepthFirstWithoutProfile(t *testing.T) {
 	prog, _ := compileWithProfile(t, hotColdSrc, 10)
 	f := prog.Func("main")
-	ctx := &core.Context{F: f, HB: f.Entry(), Loops: analysis.Loops(f), Cons: trips.Default()}
+	ctx := &core.Context{F: f, HB: f.Entry(), Dom: analysis.Dominators(f), Cons: trips.Default()}
 	df := DepthFirst{}
 	cands := f.Blocks[:3]
 	if got := df.Select(ctx, cands); got != 2 {
@@ -119,7 +119,7 @@ func TestVLIWPrepassAdmitsHotPath(t *testing.T) {
 	prog, prof := compileWithProfile(t, hotColdSrc, 200)
 	f := prog.Func("main")
 	fp := prof.Get("main")
-	ctx := &core.Context{F: f, HB: f.Entry(), Prof: fp, Loops: analysis.Loops(f), Cons: trips.Default()}
+	ctx := &core.Context{F: f, HB: f.Entry(), Prof: fp, Dom: analysis.Dominators(f), Cons: trips.Default()}
 	v := &VLIW{}
 	v.Prepare(ctx)
 	if len(v.admitted) == 0 {
@@ -135,7 +135,7 @@ func TestVLIWSelectRespectsAdmission(t *testing.T) {
 	prog, prof := compileWithProfile(t, hotColdSrc, 200)
 	f := prog.Func("main")
 	ctx := &core.Context{F: f, HB: f.Entry(), Prof: prof.Get("main"),
-		Loops: analysis.Loops(f), Cons: trips.Default()}
+		Dom: analysis.Dominators(f), Cons: trips.Default()}
 	v := &VLIW{}
 	v.Prepare(ctx)
 	// A candidate list containing only the seed itself must be
@@ -149,10 +149,10 @@ func TestVLIWSmallBudgetAdmitsLess(t *testing.T) {
 	prog, prof := compileWithProfile(t, hotColdSrc, 200)
 	f := prog.Func("main")
 	big := &core.Context{F: f, HB: f.Entry(), Prof: prof.Get("main"),
-		Loops: analysis.Loops(f), Cons: trips.Default()}
+		Dom: analysis.Dominators(f), Cons: trips.Default()}
 	small := &core.Context{F: f, HB: f.Entry(), Prof: prof.Get("main"),
-		Loops: analysis.Loops(f),
-		Cons:  trips.Constraints{MaxInstrs: 6, MaxMemOps: 32, RegBanks: 4, MaxReadsPerBank: 8, MaxWritesPerBank: 8}}
+		Dom:  analysis.Dominators(f),
+		Cons: trips.Constraints{MaxInstrs: 6, MaxMemOps: 32, RegBanks: 4, MaxReadsPerBank: 8, MaxWritesPerBank: 8}}
 	vBig, vSmall := &VLIW{}, &VLIW{}
 	vBig.Prepare(big)
 	vSmall.Prepare(small)

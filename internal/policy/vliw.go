@@ -71,7 +71,7 @@ func (v *VLIW) Prepare(ctx *core.Context) {
 		if !terminal {
 			for _, s := range b.Succs() {
 				// Acyclic region: no revisits, no back edges.
-				if seen[s] || ctx.Loops.IsBackEdge(b, s) {
+				if seen[s] || ctx.Dom.IsBackEdge(b, s) {
 					continue
 				}
 				nexts = append(nexts, s)

@@ -286,13 +286,13 @@ type ClassServiceStatus struct {
 
 // OverloadStatus is the /statusz overload-control surface.
 type OverloadStatus struct {
-	TargetDelayMS   int64 `json:"target_delay_ms"`
-	IntervalMS      int64 `json:"interval_ms"`
-	Dropping        bool  `json:"dropping"`
-	DropCount       int   `json:"drop_count"`
-	Drops           int64 `json:"drops"`
-	GlobalSamples   int   `json:"global_samples"`
-	GlobalEwmaMS    float64 `json:"global_ewma_ms"`
+	TargetDelayMS int64   `json:"target_delay_ms"`
+	IntervalMS    int64   `json:"interval_ms"`
+	Dropping      bool    `json:"dropping"`
+	DropCount     int     `json:"drop_count"`
+	Drops         int64   `json:"drops"`
+	GlobalSamples int     `json:"global_samples"`
+	GlobalEwmaMS  float64 `json:"global_ewma_ms"`
 	// RetryBaseMS is the current (unjittered) drain-rate Retry-After
 	// estimate for a request shed right now.
 	RetryBaseMS int64                         `json:"retry_base_ms"`
